@@ -5,9 +5,13 @@
 //! per-bit weight queues, and therefore no way to tell a global-pattern match
 //! from a local-pattern match, and no weight-consistency rejection of false
 //! positives.
+//!
+//! [`CountingBloom`] adds reference counts underneath, so keys can be
+//! removed as well as inserted — the summary a routing-tree leaf keeps per
+//! station under row churn.
 
 use crate::bitset::BitSet;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::hash::HashFamily;
 use crate::params::FilterParams;
 
@@ -157,6 +161,122 @@ impl BloomFilter {
     }
 }
 
+/// A counting Bloom filter: one `u32` reference count per bit, with its
+/// membership projection kept current.
+///
+/// A counter going 0→1 sets the projection's bit and 1→0 clears it, so the
+/// [`projection`](CountingBloom::projection) is always exactly the classic
+/// [`BloomFilter`] of the live keys, with `inserted` counting live
+/// insertions (inserts minus removes). Removal is the exact inverse of
+/// insertion, so after any interleaving of inserts and removes of
+/// previously inserted keys the filter equals a fresh build over the
+/// survivors. As with any counting Bloom filter, a never-inserted key is
+/// usually caught on removal, but its probes may all alias live counters;
+/// callers must only remove what they inserted.
+///
+/// # Examples
+///
+/// ```
+/// use dipm_core::{CountingBloom, FilterParams};
+///
+/// # fn main() -> Result<(), dipm_core::CoreError> {
+/// let params = FilterParams::new(1 << 12, 4)?;
+/// let mut filter = CountingBloom::new(params, 7);
+/// filter.insert(42)?;
+/// filter.insert(42)?;
+/// filter.remove(42)?;
+/// assert!(filter.projection().contains(42));
+/// filter.remove(42)?;
+/// assert!(!filter.projection().contains(42));
+/// assert!(filter.remove(42).is_err());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CountingBloom {
+    counts: Vec<u32>,
+    projection: BloomFilter,
+}
+
+impl CountingBloom {
+    /// Creates an empty counting filter with the given geometry and seed.
+    pub fn new(params: FilterParams, seed: u64) -> CountingBloom {
+        CountingBloom {
+            counts: vec![0; params.bits()],
+            projection: BloomFilter::new(params, seed),
+        }
+    }
+
+    /// Inserts `key`, incrementing every probed counter (colliding probes
+    /// count by multiplicity).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::WeightOverflow`] if a counter would exceed
+    /// `u32::MAX`; the filter is left untouched.
+    pub fn insert(&mut self, key: u64) -> Result<()> {
+        self.step_probes(key, true, CoreError::WeightOverflow)?;
+        self.projection.inserted += 1;
+        Ok(())
+    }
+
+    /// Removes one prior insertion of `key`, decrementing every probed
+    /// counter (colliding probes count by multiplicity).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::AbsentRemoval`] if a probed counter would drop
+    /// below zero; the filter is left untouched.
+    pub fn remove(&mut self, key: u64) -> Result<()> {
+        self.step_probes(key, false, CoreError::AbsentRemoval)?;
+        self.projection.inserted -= 1;
+        Ok(())
+    }
+
+    /// The membership projection: set bits are exactly the nonzero
+    /// counters.
+    pub fn projection(&self) -> &BloomFilter {
+        &self.projection
+    }
+
+    /// Steps every probed counter of `key` up or down by one. All or
+    /// nothing: at the first counter that would leave `u32`, the steps
+    /// already taken are undone and `err` is returned.
+    fn step_probes(&mut self, key: u64, up: bool, err: CoreError) -> Result<()> {
+        let probes = self.projection.family.probes(key, self.counts.len());
+        for (done, idx) in probes.clone().enumerate() {
+            if !self.step(idx, up) {
+                for idx in probes.take(done) {
+                    self.step(idx, !up);
+                }
+                return Err(err);
+            }
+        }
+        Ok(())
+    }
+
+    /// Steps one counter by one, keeping its projection bit in step;
+    /// returns `false` (changing nothing) if the counter would leave `u32`.
+    fn step(&mut self, idx: usize, up: bool) -> bool {
+        let count = self.counts[idx];
+        let next = if up {
+            count.checked_add(1)
+        } else {
+            count.checked_sub(1)
+        };
+        let Some(next) = next else {
+            return false;
+        };
+        self.counts[idx] = next;
+        if count == 0 {
+            self.projection.bits.set(idx);
+        } else if next == 0 {
+            self.projection.bits.unset(idx);
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,5 +387,100 @@ mod tests {
             f.insert(v);
         }
         assert!([3u64, 2, 1].iter().all(|&v| f.contains(v)));
+    }
+
+    fn counting() -> CountingBloom {
+        CountingBloom::new(FilterParams::new(1 << 12, 4).unwrap(), 11)
+    }
+
+    #[test]
+    fn counting_colliding_probes_round_trip_to_empty() {
+        // 12 bits and 6 hashes: a probe stride of 3 or 9 (mod 12) revisits
+        // a position within six probes.
+        let params = FilterParams::new(12, 6).unwrap();
+        let family = HashFamily::new(6, 5);
+        let (key, idx) = (0u64..)
+            .find_map(|key| {
+                let probes: Vec<usize> = family.probes(key, 12).collect();
+                let dup = probes
+                    .iter()
+                    .find(|&&i| probes.iter().filter(|&&j| j == i).count() > 1);
+                dup.map(|&i| (key, i))
+            })
+            .unwrap();
+        let empty = CountingBloom::new(params, 5);
+        let mut filter = empty.clone();
+        filter.insert(key).unwrap();
+        assert!(filter.counts[idx] > 1, "collision counted by multiplicity");
+        assert!(filter.projection().contains(key));
+        filter.remove(key).unwrap();
+        assert_eq!(filter, empty);
+        assert_eq!(filter.remove(key), Err(CoreError::AbsentRemoval));
+    }
+
+    #[test]
+    fn counting_absent_removal_leaves_the_filter_untouched() {
+        let mut filter = counting();
+        for key in 0..300u64 {
+            filter.insert(key * 7919).unwrap();
+        }
+        // A never-inserted key whose first probe hits a live counter but a
+        // later one does not: the failed removal must undo its first steps.
+        let family = filter.projection().family;
+        let key = (1_000_000u64..)
+            .find(|&key| {
+                let live: Vec<bool> = family
+                    .probes(key, 1 << 12)
+                    .map(|i| filter.counts[i] > 0)
+                    .collect();
+                live[0] && live.contains(&false)
+            })
+            .unwrap();
+        let before = filter.clone();
+        assert_eq!(filter.remove(key), Err(CoreError::AbsentRemoval));
+        assert_eq!(filter, before);
+    }
+
+    #[test]
+    fn counting_overflow_leaves_the_filter_untouched() {
+        let mut filter = counting();
+        filter.insert(1).unwrap();
+        // Saturate the key's last probe so the earlier steps must be undone.
+        let last = filter
+            .projection()
+            .family
+            .probes(2, 1 << 12)
+            .last()
+            .unwrap();
+        filter.counts[last] = u32::MAX;
+        filter.projection.bits.set(last);
+        let before = filter.clone();
+        assert_eq!(filter.insert(2), Err(CoreError::WeightOverflow));
+        assert_eq!(filter, before);
+    }
+
+    #[test]
+    fn counting_projection_is_exactly_the_nonzero_counters() {
+        let mut filter = counting();
+        let mut reference = small();
+        for i in 0..40u64 {
+            filter.insert(i * 131).unwrap();
+        }
+        for i in 0..40u64 {
+            if i % 4 == 0 {
+                filter.remove(i * 131).unwrap();
+            } else {
+                reference.insert(i * 131);
+            }
+        }
+        let projection = filter.projection();
+        for (idx, &count) in filter.counts.iter().enumerate() {
+            assert_eq!(projection.bits().get(idx), count > 0, "bit {idx}");
+        }
+        assert_eq!(
+            *projection, reference,
+            "projection diverged from a fresh build"
+        );
+        assert_eq!(projection.inserted(), 30);
     }
 }

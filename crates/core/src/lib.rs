@@ -15,7 +15,8 @@
 //!   insertion *and removal* without rebuilds — the primitive behind the
 //!   streaming delta broadcasts in `dipm-protocol`.
 //! * [`BloomFilter`] — the classic unweighted filter used as the paper's
-//!   `BF` comparison method.
+//!   `BF` comparison method, and [`CountingBloom`] — its counting variant,
+//!   the per-station routing summary in `dipm-protocol`.
 //! * [`Weight`] / [`WeightSet`] — exact rational weights with the paper's
 //!   "sum of a true decomposition is exactly 1" property.
 //! * [`FilterParams`] — geometry and false-positive math, and
@@ -69,7 +70,7 @@ mod weight;
 mod weight_set;
 
 pub use bitset::{BitSet, Ones};
-pub use bloom::BloomFilter;
+pub use bloom::{BloomFilter, CountingBloom};
 pub use counting::{CountingWbf, WeightDiff};
 pub use error::{CoreError, Result};
 pub use filter::FilterCore;

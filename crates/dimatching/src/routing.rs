@@ -31,16 +31,17 @@
 //! independent bit-collision per distinct nonzero value and is the same
 //! probability class as the WBF's own false reports.)
 //!
-//! Leaves are [`CountingWbf`]s holding each row's keys at [`Weight::ONE`]:
-//! the reference counts make row insertion and removal exact inverses, so a
-//! streaming session keeps the tree hot under CDR churn — per-station row
-//! diffs update the touched leaf and recompute only its root path — and
-//! after any interleaving the tree equals a from-scratch build (the
-//! counting filter's rebuild-equivalence guarantee, lifted to the tree).
+//! Leaves are [`CountingBloom`]s — one `u32` reference count per summary
+//! bit, with the leaf's plain [`BloomFilter`] projection kept current — so
+//! row insertion and removal are exact inverses. A streaming session keeps
+//! the tree hot under CDR churn: each station's row diff updates its leaf
+//! and then recomputes only that leaf's root path, once. After any
+//! interleaving the tree equals a from-scratch build, which fills every
+//! leaf and then unions the interior levels in one pass.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dipm_core::{BloomFilter, CountingWbf, FilterParams, Weight};
+use dipm_core::{BloomFilter, CountingBloom, FilterParams};
 use dipm_distsim::CostMeter;
 use dipm_mobilenet::{Dataset, UserId};
 
@@ -75,15 +76,12 @@ pub struct RoutingTree {
     fanout: usize,
     params: FilterParams,
     seed: u64,
-    /// Reference-counted per-station key populations (all at
-    /// [`Weight::ONE`]); the incremental source of truth.
-    leaves: Vec<CountingWbf>,
-    /// Each leaf's occupancy projected to a plain Bloom filter — the form
-    /// that unions, ships and probes.
-    blooms: Vec<BloomFilter>,
-    /// Interior levels bottom-up: `levels[0]` unions chunks of `blooms`,
-    /// each next level unions chunks of the previous, the last level is the
-    /// single root. Empty when degenerate.
+    /// Reference-counted per-station key populations; each leaf's
+    /// projection is the summary that unions, ships and probes.
+    leaves: Vec<CountingBloom>,
+    /// Interior levels bottom-up: `levels[0]` unions chunks of the leaf
+    /// projections, each next level unions chunks of the previous, the last
+    /// level is the single root. Empty when degenerate.
     levels: Vec<Vec<BloomFilter>>,
 }
 
@@ -100,28 +98,7 @@ impl RoutingTree {
         params: FilterParams,
         seed: u64,
     ) -> Result<RoutingTree> {
-        if fanout < 2 {
-            return Err(ProtocolError::invalid_config(
-                "routing tree fanout must be at least 2",
-            ));
-        }
-        let seed = seed ^ SUMMARY_SEED_TWEAK;
-        let leaves: Vec<CountingWbf> = (0..station_count)
-            .map(|_| CountingWbf::new(params, seed))
-            .collect();
-        let blooms: Vec<BloomFilter> = (0..station_count)
-            .map(|_| BloomFilter::new(params, seed))
-            .collect();
-        let mut tree = RoutingTree {
-            fanout,
-            params,
-            seed,
-            leaves,
-            blooms,
-            levels: Vec::new(),
-        };
-        tree.rebuild_levels()?;
-        Ok(tree)
+        Self::from_rows(&vec![BTreeMap::new(); station_count], fanout, params, seed)
     }
 
     /// Builds the tree over a dataset's current station populations: one
@@ -138,19 +115,44 @@ impl RoutingTree {
         config: &DiMatchingConfig,
     ) -> Result<RoutingTree> {
         let rows = station_row_keys(dataset, config)?;
-        let params = summary_params(&rows)?;
-        let mut tree = RoutingTree::new(rows.len(), fanout, params, config.seed)?;
-        for (station, station_rows) in rows.iter().enumerate() {
-            for keys in station_rows.values() {
-                tree.insert_row(station, keys)?;
+        Self::from_rows(&rows, fanout, summary_params(&rows)?, config.seed)
+    }
+
+    /// The bulk builder: one leaf per station of `rows` (as
+    /// [`station_row_keys`] produces them) filled with every row's keys,
+    /// then the interior levels unioned once.
+    pub(crate) fn from_rows(
+        rows: &[BTreeMap<UserId, Vec<u64>>],
+        fanout: usize,
+        params: FilterParams,
+        seed: u64,
+    ) -> Result<RoutingTree> {
+        if fanout < 2 {
+            return Err(ProtocolError::invalid_config(
+                "routing tree fanout must be at least 2",
+            ));
+        }
+        let seed = seed ^ SUMMARY_SEED_TWEAK;
+        let mut leaves = vec![CountingBloom::new(params, seed); rows.len()];
+        for (leaf, station_rows) in leaves.iter_mut().zip(rows) {
+            for &key in station_rows.values().flatten() {
+                leaf.insert(key).map_err(ProtocolError::Core)?;
             }
         }
+        let mut tree = RoutingTree {
+            fanout,
+            params,
+            seed,
+            leaves,
+            levels: Vec::new(),
+        };
+        tree.rebuild_levels()?;
         Ok(tree)
     }
 
     /// The number of leaf stations.
     pub fn station_count(&self) -> usize {
-        self.blooms.len()
+        self.leaves.len()
     }
 
     /// Children per interior node.
@@ -171,7 +173,7 @@ impl RoutingTree {
 
     /// One station's current summary filter (what it would upload).
     pub fn summary(&self, station: usize) -> &BloomFilter {
-        &self.blooms[station]
+        self.leaves[station].projection()
     }
 
     /// Registers one row's sampled keys at `station`, refreshing the leaf
@@ -182,13 +184,7 @@ impl RoutingTree {
     /// Propagates filter errors (counter overflow) and rejects an
     /// out-of-range station.
     pub fn insert_row(&mut self, station: usize, keys: &[u64]) -> Result<()> {
-        self.check_station(station)?;
-        for &key in keys {
-            self.leaves[station]
-                .insert(key, Weight::ONE)
-                .map_err(ProtocolError::Core)?;
-        }
-        self.refresh_path(station)
+        self.update_station(station, [], [keys])
     }
 
     /// Removes one previously inserted row's keys from `station` —
@@ -200,29 +196,48 @@ impl RoutingTree {
     /// Propagates filter errors (removing keys never inserted) and rejects
     /// an out-of-range station.
     pub fn remove_row(&mut self, station: usize, keys: &[u64]) -> Result<()> {
-        self.check_station(station)?;
-        for &key in keys {
-            self.leaves[station]
-                .remove(key, Weight::ONE)
-                .map_err(ProtocolError::Core)?;
-        }
-        self.refresh_path(station)
+        self.update_station(station, [keys], [])
     }
 
-    fn check_station(&self, station: usize) -> Result<()> {
+    /// Applies one station's row diff — every `removed` row out, then every
+    /// `inserted` row in — and recomputes the station's root path once,
+    /// however many rows changed. The streaming session's per-epoch update.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filter errors (removing keys never inserted, counter
+    /// overflow) and rejects an out-of-range station. The root path is
+    /// refreshed even then, so the tree stays consistent with its leaves.
+    pub fn update_station<'a>(
+        &mut self,
+        station: usize,
+        removed: impl IntoIterator<Item = &'a [u64]>,
+        inserted: impl IntoIterator<Item = &'a [u64]>,
+    ) -> Result<()> {
         if station >= self.station_count() {
             return Err(ProtocolError::invalid_config(format!(
                 "routing tree has {} stations, no station {station}",
                 self.station_count()
             )));
         }
-        Ok(())
+        let leaf = &mut self.leaves[station];
+        let applied = removed
+            .into_iter()
+            .flatten()
+            .try_for_each(|&key| leaf.remove(key))
+            .and_then(|()| {
+                inserted
+                    .into_iter()
+                    .flatten()
+                    .try_for_each(|&key| leaf.insert(key))
+            });
+        self.refresh_path(station)?;
+        applied.map_err(ProtocolError::Core)
     }
 
-    /// Re-projects one leaf's summary and recomputes the union nodes on its
-    /// path to the root — the only nodes an update can change.
+    /// Recomputes the union nodes on one leaf's path to the root — the only
+    /// nodes an update can change.
     fn refresh_path(&mut self, station: usize) -> Result<()> {
-        self.blooms[station] = self.leaves[station].bloom_snapshot();
         let mut child = station;
         for level in 0..self.levels.len() {
             let parent = child / self.fanout;
@@ -233,19 +248,36 @@ impl RoutingTree {
         Ok(())
     }
 
-    /// The union of node `parent`'s children at `level` (children live in
-    /// `blooms` for level 0, in `levels[level - 1]` above).
-    fn union_of_children(&self, level: usize, parent: usize) -> Result<BloomFilter> {
-        let children = if level == 0 {
-            &self.blooms
-        } else {
-            &self.levels[level - 1]
-        };
+    /// Node `index` of tree layer `layer`: layer 0 is the leaf summaries,
+    /// layer `l > 0` is `levels[l - 1]`.
+    fn node(&self, layer: usize, index: usize) -> &BloomFilter {
+        match layer {
+            0 => self.summary(index),
+            _ => &self.levels[layer - 1][index],
+        }
+    }
+
+    /// The number of nodes in tree layer `layer` (see [`RoutingTree::node`]).
+    fn layer_len(&self, layer: usize) -> usize {
+        match layer {
+            0 => self.leaves.len(),
+            _ => self.levels[layer - 1].len(),
+        }
+    }
+
+    /// The index range of node `parent`'s children in layer `layer`.
+    fn children(&self, layer: usize, parent: usize) -> std::ops::Range<usize> {
         let lo = parent * self.fanout;
-        let hi = ((parent + 1) * self.fanout).min(children.len());
+        lo..((parent + 1) * self.fanout).min(self.layer_len(layer))
+    }
+
+    /// The union of node `parent`'s children, which live in layer `layer`.
+    fn union_of_children(&self, layer: usize, parent: usize) -> Result<BloomFilter> {
         let mut node = BloomFilter::new(self.params, self.seed);
-        for child in &children[lo..hi] {
-            child.union_into(&mut node).map_err(ProtocolError::Core)?;
+        for child in self.children(layer, parent) {
+            self.node(layer, child)
+                .union_into(&mut node)
+                .map_err(ProtocolError::Core)?;
         }
         Ok(node)
     }
@@ -253,12 +285,12 @@ impl RoutingTree {
     /// Rebuilds every interior level bottom-up from the current summaries.
     fn rebuild_levels(&mut self) -> Result<()> {
         self.levels.clear();
-        let mut width = self.blooms.len();
+        let mut width = self.leaves.len();
         while width > 1 {
-            let level = self.levels.len();
+            let layer = self.levels.len();
             let parents = width.div_ceil(self.fanout);
             let nodes = (0..parents)
-                .map(|parent| self.union_of_children(level, parent))
+                .map(|parent| self.union_of_children(layer, parent))
                 .collect::<Result<Vec<_>>>()?;
             self.levels.push(nodes);
             width = parents;
@@ -272,38 +304,26 @@ impl RoutingTree {
     /// and an empty or unmatched key set prunes everything (an empty query
     /// filter reports nothing anyway).
     pub fn route(&self, keys: &[u64]) -> Vec<u32> {
-        let n = self.station_count();
         if self.is_degenerate() {
-            return (0..n as u32).collect();
+            return (0..self.station_count() as u32).collect();
         }
-        let top = self.levels.len() - 1;
-        let mut survivors: Vec<usize> = (0..self.levels[top].len())
-            .filter(|&i| self.levels[top][i].may_contain_any(keys.iter().copied()))
-            .collect();
-        for level in (0..top).rev() {
-            let mut next = Vec::new();
-            for &parent in &survivors {
-                let lo = parent * self.fanout;
-                let hi = ((parent + 1) * self.fanout).min(self.levels[level].len());
-                for child in lo..hi {
-                    if self.levels[level][child].may_contain_any(keys.iter().copied()) {
-                        next.push(child);
-                    }
-                }
-            }
-            survivors = next;
+        // Start from a virtual parent above the root, whose one child in
+        // the top layer is the root itself.
+        let mut survivors = vec![0];
+        for layer in (0..=self.levels.len()).rev() {
+            survivors = survivors
+                .into_iter()
+                .flat_map(|parent| self.children(layer, parent))
+                .filter(|&child| {
+                    self.node(layer, child)
+                        .may_contain_any(keys.iter().copied())
+                })
+                .collect();
         }
-        let mut targets = Vec::new();
-        for &parent in &survivors {
-            let lo = parent * self.fanout;
-            let hi = ((parent + 1) * self.fanout).min(n);
-            for station in lo..hi {
-                if self.blooms[station].may_contain_any(keys.iter().copied()) {
-                    targets.push(station as u32);
-                }
-            }
-        }
-        targets
+        survivors
+            .into_iter()
+            .map(|station| station as u32)
+            .collect()
     }
 
     /// [`RoutingTree::route`], grouped into per-subtree claim frames: one
@@ -565,5 +585,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn bulk_build_equals_row_by_row_inserts() {
+        let config = DiMatchingConfig::default();
+        // The conformance suites' four dataset seeds.
+        for seed in [5, 17, 29, 42] {
+            let dataset = Dataset::small(seed);
+            let rows = station_row_keys(&dataset, &config).unwrap();
+            let params = summary_params(&rows).unwrap();
+            for fanout in [2, 3, 4, 8] {
+                let bulk = RoutingTree::from_dataset(&dataset, fanout, &config).unwrap();
+                let mut by_row = RoutingTree::new(rows.len(), fanout, params, config.seed).unwrap();
+                for (station, station_rows) in rows.iter().enumerate() {
+                    for keys in station_rows.values() {
+                        by_row.insert_row(station, keys).unwrap();
+                    }
+                }
+                assert_eq!(bulk, by_row, "seed {seed}, fanout {fanout}");
+            }
+        }
+    }
+
+    #[test]
+    fn failed_station_update_still_refreshes_the_root_path() {
+        let mut tree = RoutingTree::new(4, 2, params(), 9).unwrap();
+        tree.insert_row(1, &[5, 6]).unwrap();
+        // Key 5 leaves, then the absent key 404 fails the diff: the interior
+        // nodes must still agree with the leaf as it was left.
+        assert!(tree.update_station(1, [&[5u64][..], &[404]], []).is_err());
+        let mut fresh = RoutingTree::new(4, 2, params(), 9).unwrap();
+        fresh.insert_row(1, &[6]).unwrap();
+        assert_eq!(tree, fresh);
     }
 }

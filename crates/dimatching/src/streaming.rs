@@ -428,8 +428,9 @@ impl StreamingSession {
     }
 
     /// Keeps the routing tree synchronized with this epoch's dataset —
-    /// built whole on the first routed epoch, row-diffed against the
-    /// previous epoch after — then routes the union of the live queries'
+    /// bulk-built on the first routed epoch, row-diffed against the
+    /// previous epoch after (one root-path refresh per changed station) —
+    /// then routes the union of the live queries'
     /// probe keys through it. Summary refreshes (changed stations only) and
     /// the routed plan are pushed through the wire codecs and metered.
     /// Returns the per-station active mask.
@@ -440,16 +441,11 @@ impl StreamingSession {
         meter: &CostMeter,
     ) -> Result<Vec<bool>> {
         let rows = routing::station_row_keys(dataset, &self.config)?;
-        let station_count = rows.len();
         let changed: Vec<usize> = match &mut self.routing {
             None => {
                 let params = routing::summary_params(&rows)?;
-                let mut tree = RoutingTree::new(station_count, fanout, params, self.config.seed)?;
-                for (station, station_rows) in rows.iter().enumerate() {
-                    for keys in station_rows.values() {
-                        tree.insert_row(station, keys)?;
-                    }
-                }
+                let tree = RoutingTree::from_rows(&rows, fanout, params, self.config.seed)?;
+                let station_count = rows.len();
                 self.routing = Some(SessionRouting { tree, rows });
                 (0..station_count).collect()
             }
@@ -457,20 +453,20 @@ impl StreamingSession {
                 let mut touched = Vec::new();
                 for (station, new_rows) in rows.iter().enumerate() {
                     let old_rows = &routing_state.rows[station];
-                    let mut station_touched = false;
-                    for (user, old_keys) in old_rows {
-                        if new_rows.get(user) != Some(old_keys) {
-                            routing_state.tree.remove_row(station, old_keys)?;
-                            station_touched = true;
-                        }
-                    }
-                    for (user, new_keys) in new_rows {
-                        if old_rows.get(user) != Some(new_keys) {
-                            routing_state.tree.insert_row(station, new_keys)?;
-                            station_touched = true;
-                        }
-                    }
-                    if station_touched {
+                    let removed: Vec<&[u64]> = old_rows
+                        .iter()
+                        .filter(|&(user, keys)| new_rows.get(user) != Some(keys))
+                        .map(|(_, keys)| keys.as_slice())
+                        .collect();
+                    let inserted: Vec<&[u64]> = new_rows
+                        .iter()
+                        .filter(|&(user, keys)| old_rows.get(user) != Some(keys))
+                        .map(|(_, keys)| keys.as_slice())
+                        .collect();
+                    if !removed.is_empty() || !inserted.is_empty() {
+                        routing_state
+                            .tree
+                            .update_station(station, removed, inserted)?;
                         touched.push(station);
                     }
                 }

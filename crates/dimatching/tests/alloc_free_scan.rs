@@ -4,10 +4,12 @@
 //!
 //! A counting global allocator measures whole `scan_shard_wbf` calls over
 //! shards of different sizes: the allocation count must not grow with
-//! `rows × sections` — it stays at the fixed per-call setup cost.
+//! `rows × sections` — it stays at the fixed per-call setup cost. The count
+//! is per thread (the scan runs on the calling thread), so the tests stay
+//! exact under libtest's parallel harness.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dipm_core::WbfFrameView;
 use dipm_mobilenet::UserId;
@@ -20,11 +22,21 @@ use dipm_timeseries::Pattern;
 /// the contract is about *new* heap traffic on the probe path.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, so tests that
+    /// libtest runs in parallel never count each other's heap traffic.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: a thread tearing down its locals may still free and
+    // allocate; those calls simply go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -33,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,8 +53,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A deterministic pattern per row, far from the inserted query's values so

@@ -1,7 +1,8 @@
 //! Property tests for the Bloofi-style routing tree: on *arbitrary* station
 //! populations and fanouts 2..=8, routing must never lose a station that
 //! could match (no false negatives vs broadcast), incremental maintenance
-//! must equal a from-scratch build after any insert/remove interleaving,
+//! must equal a from-scratch build after any insert/remove interleaving
+//! (row by row, or as one diff per station),
 //! and degenerate shapes (one station, fanout above the station count) must
 //! fall back cleanly.
 
@@ -126,6 +127,51 @@ proptest! {
             }
         }
         prop_assert_eq!(incremental, fresh);
+    }
+
+    // The streaming diff path: one `update_station` per station — that
+    // station's removed rows out, its added rows in, one root-path refresh —
+    // must equal a from-scratch build over the surviving and added rows.
+    #[test]
+    fn per_station_diff_equals_from_scratch_build(
+        workload in arb_tree_workload(),
+        added in vec((0usize..64, vec(0u64..5_000, 1..8)), 0..12),
+    ) {
+        let n = workload.stations;
+        let mut diffed = populate(&workload);
+        let mut removed = vec![false; workload.rows.len()];
+        for &target in &workload.removals {
+            if target < removed.len() {
+                removed[target] = true;
+            }
+        }
+        for station in 0..n {
+            let out = workload
+                .rows
+                .iter()
+                .zip(&removed)
+                .filter(|((selector, _), &gone)| gone && selector % n == station)
+                .map(|((_, keys), _)| keys.as_slice());
+            let into = added
+                .iter()
+                .filter(|(selector, _)| selector % n == station)
+                .map(|(_, keys)| keys.as_slice());
+            diffed
+                .update_station(station, out, into)
+                .expect("a diff of inserted rows applies");
+        }
+        let mut fresh = RoutingTree::new(n, workload.fanout, params(), workload.seed)
+            .expect("fanout >= 2 builds");
+        let surviving = workload
+            .rows
+            .iter()
+            .zip(&removed)
+            .filter(|(_, &gone)| !gone)
+            .map(|(row, _)| row);
+        for (selector, keys) in surviving.chain(&added) {
+            fresh.insert_row(selector % n, keys).expect("insert succeeds");
+        }
+        prop_assert_eq!(diffed, fresh);
     }
 
     // Degenerate shapes fall back cleanly: a single-station tree always
