@@ -16,14 +16,10 @@
 //! know whether a position is occupied and by which weights, while the
 //! center alone needs the counts to know when a removal retires a position.
 
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
-
 use crate::error::{CoreError, Result};
 use crate::filter::FilterCore;
-use crate::hash::{HashFamily, Probes};
-use crate::params::FilterParams;
-use crate::probe::{self, ProbeTable, QueryScratch};
+use crate::params::{FilterParams, MAX_HASHES};
+use crate::probe::QueryScratch;
 use crate::wbf::WeightedBloomFilter;
 use crate::weight::Weight;
 use crate::weight_set::WeightSet;
@@ -62,6 +58,12 @@ impl WeightDiff {
 /// (property-tested in the streaming conformance suite; see
 /// [`CountingWbf::remove`] for the aliasing caveat on foreign removals).
 ///
+/// The visible state *is* a [`WeightedBloomFilter`] — the same dense
+/// per-bit slots and sorted weight sets stations probe — with the refcounts
+/// held in a parallel per-slot array, so queries, snapshots and the full
+/// broadcast's encoding read it directly, and a mutation touches only the
+/// `k` probed slots.
+///
 /// # Examples
 ///
 /// ```
@@ -84,23 +86,19 @@ impl WeightDiff {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CountingWbf {
-    /// Per-position weight reference counts. A position's total count is
-    /// the sum of its per-weight counts, so no separate counter array can
-    /// ever fall out of sync.
-    counts: BTreeMap<u32, BTreeMap<Weight, u32>>,
-    bit_len: usize,
-    family: HashFamily,
-    /// Live insertions (inserts minus removes).
-    live: u64,
+    /// The visible state; its `inserted` is the live insertion count.
+    visible: WeightedBloomFilter,
+    /// Per-slot refcounts, parallel to the visible filter's slots: entry
+    /// `i` of `counts[slot]` counts weight `i` of that slot's sorted set,
+    /// so a position's visible set and its counts cannot fall out of sync.
+    counts: Vec<Vec<u32>>,
     /// Positions whose visible state (occupancy or weight set) changed
-    /// since the last [`CountingWbf::drain_dirty`], each mapped to its
-    /// visible weight set *as of that drain* — the baseline the next delta
-    /// diffs against.
-    dirty: BTreeMap<u32, WeightSet>,
-    /// Lazily computed set of every live weight — the score universe
-    /// pruning scans bound against. Derived state: [`CountingWbf::insert`]
-    /// and [`CountingWbf::remove`] reset it, equality ignores it.
-    universe: OnceLock<WeightSet>,
+    /// since the last [`CountingWbf::drain_dirty`], each with its visible
+    /// weight set *as of that drain* — the baseline the next delta diffs
+    /// against. In marking order; drains sort by position.
+    dirty: Vec<(u32, WeightSet)>,
+    /// Per position: whether it has an entry in `dirty`.
+    dirty_marks: Vec<bool>,
 }
 
 impl PartialEq for CountingWbf {
@@ -109,14 +107,25 @@ impl PartialEq for CountingWbf {
     /// built filter and an incrementally maintained one holding the same
     /// multiset compare equal whatever deltas were already drained.
     fn eq(&self, other: &CountingWbf) -> bool {
-        self.counts == other.counts
-            && self.bit_len == other.bit_len
-            && self.family == other.family
-            && self.live == other.live
+        self.visible == other.visible && self.position_counts().eq(other.position_counts())
     }
 }
 
 impl Eq for CountingWbf {}
+
+/// The `k` probe positions of one key with their multiplicities (distinct
+/// hash functions may collide on a position; insert and remove must count
+/// them symmetrically), on the stack.
+struct ProbeCounts {
+    entries: [(u32, u32); MAX_HASHES as usize],
+    len: usize,
+}
+
+impl ProbeCounts {
+    fn as_slice(&self) -> &[(u32, u32)] {
+        &self.entries[..self.len]
+    }
+}
 
 impl CountingWbf {
     /// Creates an empty counting filter with the given geometry and seed.
@@ -125,29 +134,50 @@ impl CountingWbf {
     /// never resize (a resize would rehash every key, i.e. a rebuild).
     pub fn new(params: FilterParams, seed: u64) -> CountingWbf {
         CountingWbf {
-            counts: BTreeMap::new(),
-            bit_len: params.bits(),
-            family: HashFamily::new(params.hashes(), seed),
-            live: 0,
-            dirty: BTreeMap::new(),
-            universe: OnceLock::new(),
+            visible: WeightedBloomFilter::new(params, seed),
+            counts: Vec::new(),
+            dirty: Vec::new(),
+            dirty_marks: vec![false; params.bits()],
         }
     }
 
-    /// The position's current visible weight set (empty if unoccupied).
-    fn visible(&self, idx: u32) -> WeightSet {
-        self.counts
-            .get(&idx)
-            .map(|position| position.keys().copied().collect())
-            .unwrap_or_default()
+    /// Every occupied position with its per-weight counts, ascending.
+    fn position_counts(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        self.visible
+            .occupied_slots()
+            .map(|(idx, slot)| (idx, self.counts[slot].as_slice()))
+    }
+
+    /// The slot and set index of `weight` at `idx`, or the index where it
+    /// would be inserted.
+    fn locate(&self, idx: usize, weight: Weight) -> std::result::Result<(usize, usize), usize> {
+        match self.visible.slot_of(idx) {
+            None => Err(0),
+            Some(slot) => match self
+                .visible
+                .slot_set(slot)
+                .as_slice()
+                .binary_search(&weight)
+            {
+                Ok(at) => Ok((slot, at)),
+                Err(at) => Err(at),
+            },
+        }
+    }
+
+    /// The live count of `weight` at `idx`.
+    fn count(&self, idx: usize, weight: Weight) -> u32 {
+        self.locate(idx, weight)
+            .map_or(0, |(slot, at)| self.counts[slot][at])
     }
 
     /// Records the baseline for a position about to change visibly, unless
     /// one is already pending from an earlier change this epoch.
-    fn mark_dirty(&mut self, idx: u32) {
-        if !self.dirty.contains_key(&idx) {
-            let baseline = self.visible(idx);
-            self.dirty.insert(idx, baseline);
+    fn mark_dirty(&mut self, idx: usize) {
+        if !self.dirty_marks[idx] {
+            self.dirty_marks[idx] = true;
+            let baseline = self.visible.set_or_empty(idx).clone();
+            self.dirty.push((idx as u32, baseline));
         }
     }
 
@@ -161,30 +191,26 @@ impl CountingWbf {
     pub fn insert(&mut self, key: u64, weight: Weight) -> Result<()> {
         let probes = self.probe_multiplicities(key);
         // Validate every touched count before mutating anything.
-        for (&idx, &mult) in &probes {
-            let current = self
-                .counts
-                .get(&idx)
-                .and_then(|m| m.get(&weight))
-                .copied()
-                .unwrap_or(0);
-            if current.checked_add(mult).is_none() {
+        for &(idx, mult) in probes.as_slice() {
+            if self.count(idx as usize, weight).checked_add(mult).is_none() {
                 return Err(CoreError::WeightOverflow);
             }
         }
-        for (&idx, &mult) in &probes {
-            let changes_visibly = !self
-                .counts
-                .get(&idx)
-                .is_some_and(|position| position.contains_key(&weight));
-            if changes_visibly {
-                self.mark_dirty(idx);
+        for &(idx, mult) in probes.as_slice() {
+            let idx = idx as usize;
+            match self.locate(idx, weight) {
+                Ok((slot, at)) => self.counts[slot][at] += mult,
+                Err(at) => {
+                    self.mark_dirty(idx);
+                    let slot = self.visible.attach_at(idx, at, weight);
+                    if slot == self.counts.len() {
+                        self.counts.push(Vec::new());
+                    }
+                    self.counts[slot].insert(at, mult);
+                }
             }
-            let position = self.counts.entry(idx).or_default();
-            *position.entry(weight).or_insert(0) += mult;
         }
-        self.live += 1;
-        self.universe.take();
+        self.visible.set_inserted(self.visible.inserted() + 1);
         Ok(())
     }
 
@@ -207,76 +233,66 @@ impl CountingWbf {
     /// live at every probed position; the filter is left untouched.
     pub fn remove(&mut self, key: u64, weight: Weight) -> Result<()> {
         let probes = self.probe_multiplicities(key);
-        for (&idx, &mult) in &probes {
-            let current = self
-                .counts
-                .get(&idx)
-                .and_then(|m| m.get(&weight))
-                .copied()
-                .unwrap_or(0);
-            if current < mult {
+        for &(idx, mult) in probes.as_slice() {
+            if self.count(idx as usize, weight) < mult {
                 return Err(CoreError::AbsentRemoval);
             }
         }
-        for (&idx, &mult) in &probes {
-            let retires_weight = self
-                .counts
-                .get(&idx)
-                .and_then(|position| position.get(&weight))
-                .copied()
-                .expect("validated above")
-                == mult;
-            if retires_weight {
+        for &(idx, mult) in probes.as_slice() {
+            let idx = idx as usize;
+            let (slot, at) = self.locate(idx, weight).expect("validated above");
+            if self.counts[slot][at] == mult {
                 self.mark_dirty(idx);
-            }
-            let position = self.counts.get_mut(&idx).expect("validated above");
-            let count = position.get_mut(&weight).expect("validated above");
-            *count -= mult;
-            if *count == 0 {
-                position.remove(&weight);
-            }
-            if position.is_empty() {
-                self.counts.remove(&idx);
+                self.counts[slot].remove(at);
+                self.visible.detach_at(idx, slot, at);
+            } else {
+                self.counts[slot][at] -= mult;
             }
         }
-        self.live -= 1;
-        self.universe.take();
+        self.visible.set_inserted(self.visible.inserted() - 1);
         Ok(())
     }
 
-    /// The `k` probe positions of `key` with their multiplicities (distinct
-    /// hash functions may collide on a position; insert and remove must
-    /// count them symmetrically).
-    fn probe_multiplicities(&self, key: u64) -> BTreeMap<u32, u32> {
-        let mut probes: BTreeMap<u32, u32> = BTreeMap::new();
-        for idx in self.family.probes(key, self.bit_len) {
-            *probes.entry(idx as u32).or_insert(0) += 1;
+    /// The `k` probe positions of `key` with their multiplicities.
+    fn probe_multiplicities(&self, key: u64) -> ProbeCounts {
+        let mut probes = ProbeCounts {
+            entries: [(0, 0); MAX_HASHES as usize],
+            len: 0,
+        };
+        for idx in self.visible.probe_indices(key) {
+            let idx = idx as u32;
+            let seen = probes.entries[..probes.len]
+                .iter_mut()
+                .find(|(seen, _)| *seen == idx);
+            match seen {
+                Some((_, mult)) => *mult += 1,
+                None => {
+                    probes.entries[probes.len] = (idx, 1);
+                    probes.len += 1;
+                }
+            }
         }
         probes
     }
 
     /// Pure membership test: whether every probed position is occupied.
     pub fn contains(&self, key: u64) -> bool {
-        self.family
-            .probes(key, self.bit_len)
-            .all(|idx| self.counts.contains_key(&(idx as u32)))
+        self.visible.contains(key)
     }
 
     /// Queries a single key: `None` if any probed position is empty,
     /// otherwise the intersection of the probed positions' visible weight
-    /// sets — identical semantics to [`WeightedBloomFilter::query`] (both
-    /// run the same shared probe core: occupancy of all positions is tested
-    /// before any weight is read).
+    /// sets — identical semantics to [`WeightedBloomFilter::query`], which
+    /// answers it over the visible state.
     pub fn query(&self, key: u64) -> Option<WeightSet> {
-        let mut out = WeightSet::new();
-        probe::query_into(self, key, &mut out).map(|()| out)
+        self.visible.query(key)
     }
 
     /// Allocation-free [`CountingWbf::query`]: the intersection is written
     /// into `out` (cleared and overwritten, capacity reused) — identical
     /// semantics to [`WeightedBloomFilter::query_into`].
     pub fn query_into(&self, key: u64, out: &mut WeightSet) -> Option<()> {
-        probe::query_into(self, key, out)
+        self.visible.query_into(key, out)
     }
 
     /// Queries a sequence of keys, returning the weights common to every
@@ -287,13 +303,12 @@ impl CountingWbf {
         I: IntoIterator<Item = u64>,
         I::IntoIter: Clone,
     {
-        let mut scratch = QueryScratch::new();
-        self.query_sequence_into(keys, &mut scratch).cloned()
+        self.visible.query_sequence(keys)
     }
 
     /// Allocation-free [`CountingWbf::query_sequence`] — identical semantics
-    /// to [`WeightedBloomFilter::query_sequence_into`], running the same
-    /// shared probe core against the refcounted positions.
+    /// to [`WeightedBloomFilter::query_sequence_into`], which answers it
+    /// over the visible state.
     pub fn query_sequence_into<'s, I>(
         &'s self,
         keys: I,
@@ -303,22 +318,32 @@ impl CountingWbf {
         I: IntoIterator<Item = u64>,
         I::IntoIter: Clone,
     {
-        probe::query_sequence_into(self, keys, scratch)
+        self.visible.query_sequence_into(keys, scratch)
     }
 
-    /// The membership projection: an ordinary [`WeightedBloomFilter`]
-    /// holding the current visible state, suitable for the existing wire
-    /// encoding and for station-side probing. `inserted` is set to the live
-    /// insertion count.
+    /// The membership projection, borrowed: an ordinary
+    /// [`WeightedBloomFilter`] holding the current visible state, with
+    /// `inserted` set to the live insertion count. Encode it for a full
+    /// broadcast, or size that broadcast, without copying anything.
+    pub fn visible(&self) -> &WeightedBloomFilter {
+        &self.visible
+    }
+
+    /// An owned copy of [`CountingWbf::visible`], suitable for the existing
+    /// wire encoding and for station-side probing.
     pub fn snapshot(&self) -> WeightedBloomFilter {
-        let mut bits = crate::bitset::BitSet::new(self.bit_len);
-        let mut weights = BTreeMap::new();
-        for (&idx, position) in &self.counts {
-            bits.set(idx as usize);
-            weights.insert(idx, position.keys().copied().collect::<WeightSet>());
-        }
-        WeightedBloomFilter::from_parts(bits, weights, self.family, self.live)
-            .expect("a counting filter's visible state is always consistent")
+        self.visible.clone()
+    }
+
+    /// The diff of one pending position against its baseline, if the
+    /// position changed at all.
+    fn diff_against(&self, idx: u32, baseline: &WeightSet) -> Option<(u32, WeightDiff)> {
+        let now = self.visible.set_or_empty(idx as usize);
+        let diff = WeightDiff {
+            removed: baseline.difference(now),
+            added: now.difference(baseline),
+        };
+        (!diff.is_empty()).then_some((idx, diff))
     }
 
     /// Drains the positions whose visible state changed since the last
@@ -330,17 +355,14 @@ impl CountingWbf {
     /// Positions that changed and changed *back* within one epoch produce
     /// no entry at all — the diff against the baseline is empty.
     pub fn drain_dirty(&mut self) -> Vec<(u32, WeightDiff)> {
-        let dirty = std::mem::take(&mut self.dirty);
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable_by_key(|&(idx, _)| idx);
+        for &(idx, _) in &dirty {
+            self.dirty_marks[idx as usize] = false;
+        }
         dirty
-            .into_iter()
-            .filter_map(|(idx, baseline)| {
-                let now = self.visible(idx);
-                let diff = WeightDiff {
-                    removed: baseline.difference(&now),
-                    added: now.difference(&baseline),
-                };
-                (!diff.is_empty()).then_some((idx, diff))
-            })
+            .iter()
+            .filter_map(|(idx, baseline)| self.diff_against(*idx, baseline))
             .collect()
     }
 
@@ -353,46 +375,55 @@ impl CountingWbf {
     /// deferred tenant's churn must stay queued, so the sizing pass cannot
     /// consume the dirty set.
     pub fn pending_dirty(&self) -> Vec<(u32, WeightDiff)> {
-        self.dirty
+        let mut pending: Vec<(u32, WeightDiff)> = self
+            .dirty
             .iter()
-            .filter_map(|(&idx, baseline)| {
-                let now = self.visible(idx);
-                let diff = WeightDiff {
-                    removed: baseline.difference(&now),
-                    added: now.difference(baseline),
-                };
-                (!diff.is_empty()).then_some((idx, diff))
-            })
-            .collect()
+            .filter_map(|(idx, baseline)| self.diff_against(*idx, baseline))
+            .collect();
+        pending.sort_unstable_by_key(|&(idx, _)| idx);
+        pending
     }
 
-    /// The pending per-position baselines — each dirtied position mapped to
-    /// its visible weight set as of the last drain. This is the epoch
-    /// bookkeeping a session checkpoint must carry: a recovered center that
-    /// restores these baselines emits exactly the delta the crashed one
-    /// would have.
-    pub fn dirty_baselines(&self) -> &BTreeMap<u32, WeightSet> {
-        &self.dirty
+    /// The pending per-position baselines, ascending by position — each
+    /// dirtied position with its visible weight set as of the last drain.
+    /// This is the epoch bookkeeping a session checkpoint must carry: a
+    /// recovered center that restores these baselines emits exactly the
+    /// delta the crashed one would have.
+    pub fn dirty_baselines(&self) -> Vec<(u32, WeightSet)> {
+        let mut baselines = self.dirty.clone();
+        baselines.sort_unstable_by_key(|&(idx, _)| idx);
+        baselines
     }
 
     /// Replaces the pending dirty baselines wholesale — the checkpoint
-    /// *recovery* counterpart of [`CountingWbf::dirty_baselines`]. Every
-    /// restored position must lie inside the filter's geometry.
+    /// *recovery* counterpart of [`CountingWbf::dirty_baselines`].
+    /// Positions must be strictly ascending and inside the filter's
+    /// geometry.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParams`] if any position is out of
-    /// range; the filter is left untouched.
-    pub fn restore_dirty(&mut self, baselines: BTreeMap<u32, WeightSet>) -> Result<()> {
-        if let Some((&idx, _)) = baselines.iter().next_back() {
-            if idx as usize >= self.bit_len {
+    /// range or out of order; the filter is left untouched.
+    pub fn restore_dirty(&mut self, baselines: Vec<(u32, WeightSet)>) -> Result<()> {
+        if baselines.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(CoreError::invalid_params(
+                "restored dirty positions must be strictly ascending",
+            ));
+        }
+        if let Some(&(idx, _)) = baselines.last() {
+            if idx as usize >= self.bit_len() {
                 return Err(CoreError::invalid_params(format!(
                     "restored dirty position {idx} outside filter of {} positions",
-                    self.bit_len
+                    self.bit_len()
                 )));
             }
         }
-        self.dirty = baselines;
+        for (idx, _) in std::mem::replace(&mut self.dirty, baselines) {
+            self.dirty_marks[idx as usize] = false;
+        }
+        for &(idx, _) in &self.dirty {
+            self.dirty_marks[idx as usize] = true;
+        }
         Ok(())
     }
 
@@ -401,12 +432,13 @@ impl CountingWbf {
     /// what a session checkpoint serializes (counts never cross the wire
     /// otherwise) and what recovery verifies a replayed registry against.
     pub fn counts_snapshot(&self) -> Vec<(u32, Vec<(Weight, u32)>)> {
-        self.counts
-            .iter()
-            .map(|(&idx, position)| {
+        self.visible
+            .occupied_slots()
+            .map(|(idx, slot)| {
+                let weights = self.visible.slot_set(slot).iter();
                 (
                     idx,
-                    position.iter().map(|(&w, &count)| (w, count)).collect(),
+                    weights.zip(self.counts[slot].iter().copied()).collect(),
                 )
             })
             .collect()
@@ -419,70 +451,47 @@ impl CountingWbf {
 
     /// Live insertions (inserts minus removes).
     pub fn live(&self) -> u64 {
-        self.live
+        self.visible.inserted()
     }
 
     /// The filter length in positions.
     pub fn bit_len(&self) -> usize {
-        self.bit_len
+        self.visible.bit_len()
     }
 
     /// The number of hash functions.
     pub fn hashes(&self) -> u16 {
-        self.family.hashes()
+        self.visible.hashes()
     }
 
     /// The hash seed shared between data center and base stations.
     pub fn seed(&self) -> u64 {
-        self.family.seed()
+        self.visible.seed()
     }
 
     /// The fraction of occupied positions.
     pub fn fill_ratio(&self) -> f64 {
-        self.counts.len() as f64 / self.bit_len as f64
+        self.visible.fill_ratio()
     }
 
     /// The total number of live `(position, weight)` attachments.
     pub fn weight_entries(&self) -> usize {
-        self.counts.values().map(BTreeMap::len).sum()
+        self.visible.weight_entries()
     }
 
     /// The sorted set of every live weight — the score universe a pruning
     /// scan bounds candidates against, mirroring
-    /// [`WeightedBloomFilter::weight_universe`]. Computed once per filter
-    /// state and cached; [`CountingWbf::insert`] and [`CountingWbf::remove`]
-    /// invalidate the cache.
+    /// [`WeightedBloomFilter::weight_universe`] over the visible state.
+    /// Computed once per filter state and cached; [`CountingWbf::insert`]
+    /// and [`CountingWbf::remove`] invalidate the cache.
     pub fn weight_universe(&self) -> &WeightSet {
-        self.universe.get_or_init(|| {
-            self.counts
-                .values()
-                .flat_map(|position| position.keys().copied())
-                .collect()
-        })
+        self.visible.weight_universe()
     }
 
     /// The largest live weight — the static score upper bound. `None` for
     /// an empty filter.
     pub fn max_weight(&self) -> Option<Weight> {
-        self.weight_universe().max()
-    }
-}
-
-impl ProbeTable for CountingWbf {
-    type Weights<'a> = std::iter::Copied<std::collections::btree_map::Keys<'a, Weight, u32>>;
-
-    fn geometry(&self) -> (&HashFamily, usize) {
-        (&self.family, self.bit_len)
-    }
-
-    fn occupied(&self, mut probes: Probes) -> bool {
-        probes.all(|idx| self.counts.contains_key(&(idx as u32)))
-    }
-
-    fn weights_at(&self, idx: usize) -> Option<Self::Weights<'_>> {
-        self.counts
-            .get(&(idx as u32))
-            .map(|position| position.keys().copied())
+        self.visible.max_weight()
     }
 }
 
@@ -688,7 +697,7 @@ mod tests {
         filter.insert(11, w(1, 3)).unwrap();
         // Checkpoint: counts + baselines, mid-epoch with a pending delta.
         let counts = filter.counts_snapshot();
-        let baselines = filter.dirty_baselines().clone();
+        let baselines = filter.dirty_baselines();
         assert!(!baselines.is_empty());
         // Recover into a fresh filter by replaying the live pairs, then
         // restoring the baselines: the next drain is byte-identical.
@@ -704,15 +713,26 @@ mod tests {
     fn restore_dirty_rejects_out_of_range_positions() {
         let mut filter = CountingWbf::new(params(), 3);
         filter.insert(10, w(1, 2)).unwrap();
-        let kept = filter.dirty_baselines().clone();
-        let mut bad = BTreeMap::new();
-        bad.insert((1u32 << 12) + 1, WeightSet::new());
+        let kept = filter.dirty_baselines();
+        let bad = vec![((1u32 << 12) + 1, WeightSet::new())];
         assert!(matches!(
             filter.restore_dirty(bad),
             Err(CoreError::InvalidParams { .. })
         ));
-        // Rejected restore leaves the pending set untouched.
-        assert_eq!(filter.dirty_baselines(), &kept);
+        let unordered = vec![(5u32, WeightSet::new()), (5, WeightSet::new())];
+        assert!(matches!(
+            filter.restore_dirty(unordered),
+            Err(CoreError::InvalidParams { .. })
+        ));
+        // Rejected restores leave the pending set untouched.
+        assert_eq!(filter.dirty_baselines(), kept);
+        // An accepted restore replaces it wholesale.
+        filter.restore_dirty(vec![(7, WeightSet::new())]).unwrap();
+        assert_eq!(filter.dirty_len(), 1);
+        filter.insert(11, w(1, 2)).unwrap();
+        let positions: Vec<u32> = filter.dirty_baselines().iter().map(|e| e.0).collect();
+        assert!(positions.contains(&7));
+        assert!(positions.windows(2).all(|p| p[0] < p[1]));
     }
 
     #[test]

@@ -157,21 +157,12 @@ pub fn decode_bloom(mut data: Bytes) -> Result<BloomFilter> {
     Ok(BloomFilter::from_parts(bits, family, header.inserted))
 }
 
-/// Collects the distinct weights of a filter in ascending order — the wire
-/// dictionary. Distinct weights are few (one per combination pattern), so
-/// per-bit attachments are encoded as `u16` dictionary indices instead of
-/// repeating 16-byte rationals.
-fn weight_dictionary(filter: &WeightedBloomFilter) -> Vec<Weight> {
-    let mut dict = WeightSet::new();
-    for (_, set) in filter.weight_positions() {
-        dict.union_with(set);
-    }
-    dict.iter().collect()
-}
-
 /// The interned representation backing the weighted wire sections: the
-/// weight dictionary, the distinct weight sets (as dictionary-id lists, in
-/// first-seen order over ascending bits) and one set id per set bit.
+/// weight dictionary (the filter's distinct weights, ascending — few, one
+/// per combination pattern, so attachments travel as `u16` dictionary
+/// indices instead of 16-byte rationals), the distinct weight sets (as
+/// dictionary-id lists, in first-seen order over ascending bits) and one
+/// set id per set bit.
 struct Interned {
     dict: Vec<Weight>,
     sets: Vec<Vec<u16>>,
@@ -179,33 +170,36 @@ struct Interned {
 }
 
 fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
-    let dict = weight_dictionary(filter);
+    let dict = filter.weight_universe().as_slice().to_vec();
     if dict.len() > u16::MAX as usize {
         return Err(CoreError::invalid_params(
             "more distinct weights than the wire format supports",
         ));
     }
+    // Sets are interned by content before any id list is built, so the
+    // dictionary lookups run once per distinct set, not once per bit.
     let mut sets: Vec<Vec<u16>> = Vec::new();
-    let mut index: std::collections::HashMap<Vec<u16>, u32> = std::collections::HashMap::new();
+    let mut index: std::collections::HashMap<&WeightSet, u32> = std::collections::HashMap::new();
     let mut per_bit = Vec::with_capacity(filter.bits().count_ones());
     for (_, set) in filter.weight_positions() {
-        if set.len() > u16::MAX as usize {
-            return Err(CoreError::invalid_params(
-                "more weights on one bit than the wire format supports",
-            ));
-        }
-        let ids: Vec<u16> = set
-            .iter()
-            .map(|w| {
-                dict.binary_search(&w)
-                    .expect("dictionary contains every attached weight") as u16
-            })
-            .collect();
-        let id = match index.get(&ids) {
+        let id = match index.get(set) {
             Some(&id) => id,
             None => {
+                if set.len() > u16::MAX as usize {
+                    return Err(CoreError::invalid_params(
+                        "more weights on one bit than the wire format supports",
+                    ));
+                }
+                let ids = set
+                    .iter()
+                    .map(|w| {
+                        dict.binary_search(&w)
+                            .expect("dictionary contains every attached weight")
+                            as u16
+                    })
+                    .collect();
                 let id = sets.len() as u32;
-                index.insert(ids.clone(), id);
+                index.insert(set, id);
                 sets.push(ids);
                 id
             }
@@ -217,6 +211,17 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
         sets,
         per_bit,
     })
+}
+
+/// The byte length of a weighted frame over `interned`.
+fn interned_len(filter: &WeightedBloomFilter, interned: &Interned) -> usize {
+    let set_bytes: usize = interned.sets.iter().map(|s| 2 + 2 * s.len()).sum();
+    32 + filter.bits().byte_len()
+        + 4
+        + interned.dict.len() * 16
+        + 4
+        + set_bytes
+        + interned.per_bit.len() * 4
 }
 
 /// Encodes a weighted Bloom filter.
@@ -232,7 +237,7 @@ fn intern(filter: &WeightedBloomFilter) -> Result<Interned> {
 /// weights (beyond the wire format's index width).
 pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
     let interned = intern(filter)?;
-    let mut buf = BytesMut::with_capacity(encoded_wbf_len(filter));
+    let mut buf = BytesMut::with_capacity(interned_len(filter, &interned));
     put_header(
         &mut buf,
         KIND_WEIGHTED,
@@ -263,17 +268,10 @@ pub fn encode_wbf(filter: &WeightedBloomFilter) -> Result<Bytes> {
 /// The exact byte length [`encode_wbf`] will produce (for a filter the
 /// format can represent).
 pub fn encoded_wbf_len(filter: &WeightedBloomFilter) -> usize {
-    let interned = match intern(filter) {
-        Ok(i) => i,
-        Err(_) => return 0,
-    };
-    let set_bytes: usize = interned.sets.iter().map(|s| 2 + 2 * s.len()).sum();
-    32 + filter.bits().byte_len()
-        + 4
-        + interned.dict.len() * 16
-        + 4
-        + set_bytes
-        + interned.per_bit.len() * 4
+    match intern(filter) {
+        Ok(interned) => interned_len(filter, &interned),
+        Err(_) => 0,
+    }
 }
 
 /// Everything of a weighted wire frame up to (but not including) the

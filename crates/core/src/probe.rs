@@ -1,10 +1,12 @@
 //! The shared weighted-probe core (Algorithm 2, lines 3–15).
 //!
-//! [`WeightedBloomFilter`](crate::WeightedBloomFilter) and
-//! [`CountingWbf`](crate::CountingWbf) answer queries with identical
+//! [`WeightedBloomFilter`](crate::WeightedBloomFilter) and the zero-copy
+//! [`WbfFrameView`](crate::WbfFrameView) answer queries with identical
 //! semantics — reject unless every probed position is occupied and one
 //! weight is common to all of them — so the matching loop lives here once,
 //! generic over a [`ProbeTable`], instead of being maintained twice.
+//! ([`CountingWbf`](crate::CountingWbf) answers through the weighted
+//! filter holding its visible state.)
 //!
 //! The loop is built for the station-side scan, where almost every candidate
 //! misses:
@@ -31,7 +33,6 @@
 //! exact same set.
 
 use crate::hash::{HashFamily, Probes};
-use crate::weight::Weight;
 use crate::weight_set::WeightSet;
 
 /// Reusable scratch for [`query_sequence_into`] — owns the running
@@ -182,14 +183,10 @@ impl PrecomputedProbes {
     }
 }
 
-/// A probe-addressable table of weight sets: the storage interface both
-/// filter variants expose to the shared query core.
+/// A probe-addressable table of weight sets: the storage interface the
+/// owned filter and the zero-copy frame view expose to the shared query
+/// core.
 pub(crate) trait ProbeTable {
-    /// Sorted iterator over the weights attached at one position.
-    type Weights<'a>: Iterator<Item = Weight>
-    where
-        Self: 'a;
-
     /// The hash family and table length defining probe sequences.
     fn geometry(&self) -> (&HashFamily, usize);
 
@@ -197,16 +194,8 @@ pub(crate) trait ProbeTable {
     /// make this the cheap path — it gates every weight-table access.
     fn occupied(&self, probes: Probes) -> bool;
 
-    /// The weights at `idx`, ascending; `None` if the position is empty.
-    fn weights_at(&self, idx: usize) -> Option<Self::Weights<'_>>;
-
-    /// A borrowable materialized weight set at `idx`, when the table stores
-    /// one (the plain filter does; the counting filter synthesizes sets from
-    /// refcounts and returns `None`).
-    fn set_at(&self, idx: usize) -> Option<&WeightSet> {
-        let _ = idx;
-        None
-    }
+    /// The weight set at `idx`; `None` if the position is empty.
+    fn set_at(&self, idx: usize) -> Option<&WeightSet>;
 }
 
 /// The running intersection state: borrowing from the table until a second
@@ -231,8 +220,9 @@ pub(crate) fn query_into<T: ProbeTable>(table: &T, key: u64, out: &mut WeightSet
     let mut deferred: Option<usize> = None;
     let mut owned = false;
     for idx in probes {
+        let set = table.set_at(idx).expect("occupied position");
         if owned {
-            out.intersect_with_sorted(table.weights_at(idx).expect("occupied position"));
+            out.intersect_with(set);
             if out.is_empty() {
                 return Some(());
             }
@@ -242,18 +232,7 @@ pub(crate) fn query_into<T: ProbeTable>(table: &T, key: u64, out: &mut WeightSet
             None => deferred = Some(idx),
             Some(first) if first == idx => {}
             Some(first) => {
-                match table.set_at(first) {
-                    Some(set) => out.assign_intersection_sorted(
-                        set,
-                        table.weights_at(idx).expect("occupied position"),
-                    ),
-                    None => {
-                        out.assign_sorted(table.weights_at(first).expect("occupied position"));
-                        out.intersect_with_sorted(
-                            table.weights_at(idx).expect("occupied position"),
-                        );
-                    }
-                }
+                out.assign_intersection(table.set_at(first).expect("occupied position"), set);
                 owned = true;
                 if out.is_empty() {
                     return Some(());
@@ -263,7 +242,7 @@ pub(crate) fn query_into<T: ProbeTable>(table: &T, key: u64, out: &mut WeightSet
     }
     if !owned {
         let first = deferred.expect("hash families have at least one probe");
-        out.assign_sorted(table.weights_at(first).expect("occupied position"));
+        out.copy_from(table.set_at(first).expect("occupied position"));
     }
     Some(())
 }
@@ -298,38 +277,8 @@ where
     let mut acc = Acc::Start;
     for key in keys {
         for idx in family.probes(key, len) {
-            match acc {
-                Acc::Start => match table.set_at(idx) {
-                    Some(set) => acc = Acc::Borrowed(set),
-                    None => {
-                        scratch
-                            .acc
-                            .assign_sorted(table.weights_at(idx).expect("occupied position"));
-                        acc = Acc::Owned;
-                    }
-                },
-                Acc::Borrowed(first) => {
-                    match table.set_at(idx) {
-                        Some(set) if std::ptr::eq(set, first) => continue,
-                        Some(set) => scratch.acc.assign_intersection(first, set),
-                        None => scratch.acc.assign_intersection_sorted(
-                            first,
-                            table.weights_at(idx).expect("occupied position"),
-                        ),
-                    }
-                    acc = Acc::Owned;
-                    if scratch.acc.is_empty() {
-                        return Some(&scratch.acc);
-                    }
-                }
-                Acc::Owned => {
-                    scratch
-                        .acc
-                        .intersect_with_sorted(table.weights_at(idx).expect("occupied position"));
-                    if scratch.acc.is_empty() {
-                        return Some(&scratch.acc);
-                    }
-                }
+            if fold_step(table, idx, &mut acc, &mut scratch.acc) {
+                return Some(&scratch.acc);
             }
         }
     }
@@ -337,6 +286,33 @@ where
         Acc::Start => None,
         Acc::Borrowed(set) => Some(set),
         Acc::Owned => Some(&scratch.acc),
+    }
+}
+
+/// Folds the set at occupied position `idx` into the running intersection;
+/// `true` once it is empty (it can never grow back).
+fn fold_step<'s, T: ProbeTable>(
+    table: &'s T,
+    idx: usize,
+    acc: &mut Acc<'s>,
+    out: &mut WeightSet,
+) -> bool {
+    let set = table.set_at(idx).expect("occupied position");
+    match *acc {
+        Acc::Start => {
+            *acc = Acc::Borrowed(set);
+            false
+        }
+        Acc::Borrowed(first) if std::ptr::eq(set, first) => false,
+        Acc::Borrowed(first) => {
+            out.assign_intersection(first, set);
+            *acc = Acc::Owned;
+            out.is_empty()
+        }
+        Acc::Owned => {
+            out.intersect_with(set);
+            out.is_empty()
+        }
     }
 }
 
@@ -351,39 +327,8 @@ pub(crate) fn fold_weights_at<'s, T: ProbeTable>(
 ) -> Option<&'s WeightSet> {
     let mut acc = Acc::Start;
     for &idx in indices {
-        let idx = idx as usize;
-        match acc {
-            Acc::Start => match table.set_at(idx) {
-                Some(set) => acc = Acc::Borrowed(set),
-                None => {
-                    scratch
-                        .acc
-                        .assign_sorted(table.weights_at(idx).expect("occupied position"));
-                    acc = Acc::Owned;
-                }
-            },
-            Acc::Borrowed(first) => {
-                match table.set_at(idx) {
-                    Some(set) if std::ptr::eq(set, first) => continue,
-                    Some(set) => scratch.acc.assign_intersection(first, set),
-                    None => scratch.acc.assign_intersection_sorted(
-                        first,
-                        table.weights_at(idx).expect("occupied position"),
-                    ),
-                }
-                acc = Acc::Owned;
-                if scratch.acc.is_empty() {
-                    return Some(&scratch.acc);
-                }
-            }
-            Acc::Owned => {
-                scratch
-                    .acc
-                    .intersect_with_sorted(table.weights_at(idx).expect("occupied position"));
-                if scratch.acc.is_empty() {
-                    return Some(&scratch.acc);
-                }
-            }
+        if fold_step(table, idx as usize, &mut acc, &mut scratch.acc) {
+            return Some(&scratch.acc);
         }
     }
     match acc {

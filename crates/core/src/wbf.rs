@@ -74,19 +74,26 @@ pub struct WeightedBloomFilter {
     // mutation path resets it, equality and the wire format ignore it.
     universe: OnceLock<WeightSet>,
     // Lazily computed fold acceleration (see `FoldTable`). Derived state
-    // like `universe`: reset on every mutation, ignored by equality and the
-    // wire format. `None` inside the cell means the universe is too wide
-    // for the mask representation and folds take the generic path.
+    // like `universe`, ignored by equality and the wire format: `apply_diff`
+    // keeps a warm table in step, every other mutation resets it. `None`
+    // inside the cell means the universe is too wide for the mask
+    // representation and folds take the generic path.
     fold: OnceLock<Option<FoldTable>>,
 }
 
 /// Fold acceleration for the scan hot path: each weight-set slot reduced to
-/// a bitmask over the filter's (sorted) weight universe, so the per-row
-/// weight fold — intersect the weight sets of every probed position — is a
-/// chain of `AND`s over one `u64` with a zero early-exit, instead of up to
-/// `b × k` sorted-set merges. Only built while the universe holds at most
-/// 64 distinct weights; wider filters (rare — the universe is one entry per
-/// distinct pattern weight) keep the generic merge fold.
+/// a bitmask over a sorted weight universe, so the per-row weight fold —
+/// intersect the weight sets of every probed position — is a chain of
+/// `AND`s over one `u64` with a zero early-exit, instead of up to `b × k`
+/// sorted-set merges. Only kept while the universe fits in 64 weights;
+/// wider filters (rare — the universe is one entry per distinct pattern
+/// weight) keep the generic merge fold.
+///
+/// A delta keeps a warm table warm ([`FoldTable::apply`]): the touched
+/// slot's mask is edited, and a weight new to the table is spliced into
+/// the universe by remapping every mask. Removals leave their weight in the
+/// universe with no live mask bit, so the universe may be a superset of the
+/// filter's weights; [`FoldTable::live_mask`] recovers the exact set.
 #[derive(Debug, Clone)]
 struct FoldTable {
     /// The sorted weight universe the mask bits index into.
@@ -96,8 +103,108 @@ struct FoldTable {
     masks: Vec<u64>,
 }
 
+impl FoldTable {
+    /// The table over `sets`, whose union is `universe`; `None` when the
+    /// universe exceeds the 64-bit mask width.
+    fn build(universe: &WeightSet, sets: &[WeightSet]) -> Option<FoldTable> {
+        if universe.len() > 64 {
+            return None;
+        }
+        let mut table = FoldTable {
+            universe: universe.clone(),
+            masks: Vec::new(),
+        };
+        table.masks = sets.iter().map(|set| table.mask_of(set)).collect();
+        Some(table)
+    }
+
+    /// The mask of `weights`, every one of which must be in the universe.
+    fn mask_of(&self, weights: &WeightSet) -> u64 {
+        weights.iter().fold(0u64, |mask, w| {
+            let pos = self
+                .universe
+                .as_slice()
+                .binary_search(&w)
+                .expect("universe contains every attached weight");
+            mask | 1u64 << pos
+        })
+    }
+
+    /// The universe bits some slot still holds.
+    fn live_mask(&self) -> u64 {
+        self.masks.iter().fold(0, |acc, &mask| acc | mask)
+    }
+
+    /// Brings the table in step with `diff`, just applied to the set in
+    /// `slot` (a slot one past the end is newly allocated). Returns `false`
+    /// when an added weight cannot get a mask bit even after dropping dead
+    /// weights; the caller then discards the table.
+    fn apply(&mut self, slot: usize, diff: &WeightDiff) -> bool {
+        if slot == self.masks.len() {
+            self.masks.push(0);
+        }
+        self.masks[slot] &= !self.mask_of(&diff.removed);
+        // Each added weight's bit is set at once, so a compaction forced by
+        // a later one cannot drop it as dead.
+        for w in diff.added.iter() {
+            let at = match self.universe.as_slice().binary_search(&w) {
+                Ok(at) => at,
+                Err(at) => match self.insert_weight(at, w) {
+                    Some(at) => at,
+                    None => return false,
+                },
+            };
+            self.masks[slot] |= 1u64 << at;
+        }
+        true
+    }
+
+    /// Splices `w` into the universe at sorted index `at`, shifting every
+    /// mask bit at or above `at` up by one, and returns `w`'s final index.
+    /// A full universe first drops the weights no live mask holds; `None`
+    /// if it is still full.
+    fn insert_weight(&mut self, mut at: usize, w: Weight) -> Option<usize> {
+        if self.universe.len() == 64 {
+            self.compact();
+            if self.universe.len() == 64 {
+                return None;
+            }
+            at = self
+                .universe
+                .as_slice()
+                .binary_search(&w)
+                .expect_err("the weight was absent before compaction");
+        }
+        self.universe.insert_at(at, w);
+        let low = (1u64 << at) - 1;
+        for mask in &mut self.masks {
+            *mask = (*mask & low) | ((*mask & !low) << 1);
+        }
+        Some(at)
+    }
+
+    /// Drops every universe weight no slot's mask holds, highest first so
+    /// the lower indices stay valid while the masks shift down.
+    fn compact(&mut self) {
+        let live = self.live_mask();
+        for at in (0..self.universe.len()).rev() {
+            if live & (1u64 << at) != 0 {
+                continue;
+            }
+            self.universe.remove_at(at);
+            let low = (1u64 << at) - 1;
+            for mask in &mut self.masks {
+                *mask = (*mask & low) | ((*mask >> 1) & !low);
+            }
+        }
+    }
+}
+
 /// Sentinel in `slots` for a position carrying no weights.
 const EMPTY_SLOT: u32 = u32::MAX;
+
+/// The weight set of every position without a slot.
+static NO_WEIGHTS: WeightSet = WeightSet::new();
 
 impl WeightedBloomFilter {
     /// Creates an empty weighted filter with the given geometry and seed.
@@ -145,32 +252,89 @@ impl WeightedBloomFilter {
         })
     }
 
-    /// The weight set slot for `bit`, allocating (or reusing a tombstoned)
-    /// slot on first attachment.
-    fn set_mut_or_insert(&mut self, bit: usize) -> &mut WeightSet {
-        let slot = match self.slots[bit] {
-            EMPTY_SLOT => {
-                let slot = self.sets.len() as u32;
-                self.sets.push(WeightSet::new());
-                self.slots[bit] = slot;
-                slot
-            }
-            slot => slot,
-        };
-        &mut self.sets[slot as usize]
+    /// The weight set slot for `bit`, allocating one on first attachment
+    /// (a tombstoned slot is reused as is).
+    fn slot_or_insert(&mut self, bit: usize) -> usize {
+        if self.slots[bit] == EMPTY_SLOT {
+            self.slots[bit] = self.sets.len() as u32;
+            self.sets.push(WeightSet::new());
+        }
+        self.slots[bit] as usize
+    }
+
+    /// The weight set at `bit` — empty for a position without weights.
+    pub(crate) fn set_or_empty(&self, bit: usize) -> &WeightSet {
+        self.slot_of(bit)
+            .map_or(&NO_WEIGHTS, |slot| &self.sets[slot])
+    }
+
+    /// Iterates `(bit, slot)` over every position carrying weights, in
+    /// ascending bit order.
+    pub(crate) fn occupied_slots(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.slots.iter().enumerate().filter_map(|(idx, &slot)| {
+            (slot != EMPTY_SLOT && !self.sets[slot as usize].is_empty())
+                .then_some((idx as u32, slot as usize))
+        })
     }
 
     /// Iterates `(bit, weight set)` over every position carrying weights, in
     /// ascending bit order — the canonical order the wire encoding and
     /// equality rely on.
     pub(crate) fn weight_positions(&self) -> impl Iterator<Item = (u32, &WeightSet)> {
-        self.slots.iter().enumerate().filter_map(|(idx, &slot)| {
-            if slot == EMPTY_SLOT {
-                return None;
-            }
-            let set = &self.sets[slot as usize];
-            (!set.is_empty()).then_some((idx as u32, set))
-        })
+        self.occupied_slots()
+            .map(|(idx, slot)| (idx, &self.sets[slot]))
+    }
+
+    /// The slot holding `bit`'s weight set, if one was ever allocated
+    /// (tombstones included). Slots index the counting filter's parallel
+    /// refcounts.
+    pub(crate) fn slot_of(&self, bit: usize) -> Option<usize> {
+        match self.slots[bit] {
+            EMPTY_SLOT => None,
+            slot => Some(slot as usize),
+        }
+    }
+
+    /// The weight set in `slot`.
+    pub(crate) fn slot_set(&self, slot: usize) -> &WeightSet {
+        &self.sets[slot]
+    }
+
+    /// Attaches `weight` to `bit` at index `at` of its sorted set (located
+    /// by the caller, which keeps data parallel to it) and sets the bit.
+    /// Returns the position's slot; a new slot is one past the previous
+    /// end.
+    pub(crate) fn attach_at(&mut self, bit: usize, at: usize, weight: Weight) -> usize {
+        let slot = self.slot_or_insert(bit);
+        self.sets[slot].insert_at(at, weight);
+        self.bits.set(bit);
+        self.invalidate_derived();
+        slot
+    }
+
+    /// Detaches the weight at index `at` of the set in `slot`, which `bit`
+    /// owns; a position left without weights clears its bit and keeps the
+    /// slot as a tombstone.
+    pub(crate) fn detach_at(&mut self, bit: usize, slot: usize, at: usize) {
+        let set = &mut self.sets[slot];
+        set.remove_at(at);
+        if set.is_empty() {
+            self.bits.unset(bit);
+        }
+        self.invalidate_derived();
+    }
+
+    /// Overwrites the insert count (the counting filter keeps it equal to
+    /// its live insertions).
+    pub(crate) fn set_inserted(&mut self, inserted: u64) {
+        self.inserted = inserted;
+    }
+
+    /// Drops the cached universe and fold table after a mutation that does
+    /// not maintain them.
+    fn invalidate_derived(&mut self) {
+        self.universe.take();
+        self.fold.take();
     }
 
     /// Inserts `key` carrying `weight`: sets all `k` probed bits and attaches
@@ -179,11 +343,16 @@ impl WeightedBloomFilter {
         let m = self.bits.len();
         for idx in self.family.probes(key, m) {
             self.bits.set(idx);
-            self.set_mut_or_insert(idx).insert(weight);
+            let slot = self.slot_or_insert(idx);
+            self.sets[slot].insert(weight);
         }
         self.inserted += 1;
-        self.universe.take();
-        self.fold.take();
+        self.invalidate_derived();
+    }
+
+    /// The `k` probe positions of `key`, in hash-function order.
+    pub(crate) fn probe_indices(&self, key: u64) -> Probes {
+        self.family.probes(key, self.bits.len())
     }
 
     /// Pure membership test (ignores weights): whether all probed bits are
@@ -313,31 +482,7 @@ impl WeightedBloomFilter {
     /// universe exceeds the 64-weight mask width.
     fn fold_table(&self) -> Option<&FoldTable> {
         self.fold
-            .get_or_init(|| {
-                let universe = self.weight_universe();
-                if universe.len() > 64 {
-                    return None;
-                }
-                let masks = self
-                    .sets
-                    .iter()
-                    .map(|set| {
-                        let mut mask = 0u64;
-                        for w in set.iter() {
-                            let pos = universe
-                                .as_slice()
-                                .binary_search(&w)
-                                .expect("universe contains every attached weight");
-                            mask |= 1u64 << pos;
-                        }
-                        mask
-                    })
-                    .collect();
-                Some(FoldTable {
-                    universe: universe.clone(),
-                    masks,
-                })
-            })
+            .get_or_init(|| FoldTable::build(self.weight_universe(), &self.sets))
             .as_ref()
     }
 
@@ -383,7 +528,9 @@ impl WeightedBloomFilter {
     /// from this set, so its maximum is the section's score upper bound.
     ///
     /// Computed once per filter state and cached; [`insert`], [`union_with`]
-    /// and [`apply_diff`] invalidate the cache.
+    /// and [`apply_diff`] invalidate the cache. While the fold table is
+    /// warm the universe is read off the OR of its live masks, so a table
+    /// that still indexes weights a delta retired never widens it.
     ///
     /// [`insert`]: WeightedBloomFilter::insert
     /// [`union_with`]: WeightedBloomFilter::union_with
@@ -391,8 +538,13 @@ impl WeightedBloomFilter {
     pub fn weight_universe(&self) -> &WeightSet {
         self.universe.get_or_init(|| {
             let mut all = WeightSet::new();
-            for set in &self.sets {
-                all.union_with(set);
+            match self.fold.get() {
+                Some(Some(table)) => all.assign_mask(&table.universe, table.live_mask()),
+                _ => {
+                    for set in &self.sets {
+                        all.union_with(set);
+                    }
+                }
             }
             all
         })
@@ -423,11 +575,11 @@ impl WeightedBloomFilter {
         }
         self.bits.union_with(&other.bits)?;
         for (idx, set) in other.weight_positions() {
-            self.set_mut_or_insert(idx as usize).union_with(set);
+            let slot = self.slot_or_insert(idx as usize);
+            self.sets[slot].union_with(set);
         }
         self.inserted += other.inserted;
-        self.universe.take();
-        self.fold.take();
+        self.invalidate_derived();
         Ok(())
     }
 
@@ -443,6 +595,13 @@ impl WeightedBloomFilter {
     /// empties is cleared; a previously clear position gains its first
     /// weights and its bit.
     ///
+    /// The cost follows the diff, not the filter: the position's sorted
+    /// set is edited in place, and a warm fold table stays warm — the
+    /// slot's mask is edited and a weight new to the table is spliced into
+    /// its universe. Only a universe still over 64 weights after dropping
+    /// the dead ones discards the table, for a lazy rebuild on the next
+    /// fold.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::Decode`] if `bit` is outside the filter, the
@@ -455,40 +614,38 @@ impl WeightedBloomFilter {
         if diff.is_empty() {
             return Err(CoreError::decode("empty delta entry"));
         }
-        let current = match self.slots[idx] {
-            EMPTY_SLOT => WeightSet::new(),
-            slot => self.sets[slot as usize].clone(),
-        };
-        for w in &diff.removed {
-            if !current.contains(w) {
-                return Err(CoreError::decode(
-                    "delta removes a weight the position does not carry",
-                ));
-            }
+        let current = self.set_or_empty(idx);
+        if !diff.removed.iter().all(|w| current.contains(w)) {
+            return Err(CoreError::decode(
+                "delta removes a weight the position does not carry",
+            ));
         }
-        for w in &diff.added {
-            if current.contains(w) {
-                return Err(CoreError::decode(
-                    "delta adds a weight the position already carries",
-                ));
-            }
+        if diff.added.iter().any(|w| current.contains(w)) {
+            return Err(CoreError::decode(
+                "delta adds a weight the position already carries",
+            ));
         }
-        let mut next = current.difference(&diff.removed);
-        next.union_with(&diff.added);
-        if next.is_empty() {
+        // An emptied set stays allocated (tombstone) for reuse when the
+        // position refills; an empty set reads as "no weights".
+        let slot = self.slot_or_insert(idx);
+        let set = &mut self.sets[slot];
+        set.remove_all(&diff.removed);
+        set.union_with(&diff.added);
+        if set.is_empty() {
             self.bits.unset(idx);
-            // Tombstone: the slot stays allocated for reuse when the
-            // position refills; an empty set reads as "no weights".
-            let slot = self.slots[idx];
-            if slot != EMPTY_SLOT {
-                self.sets[slot as usize].clear();
-            }
         } else {
             self.bits.set(idx);
-            *self.set_mut_or_insert(idx) = next;
         }
         self.universe.take();
-        self.fold.take();
+        let keep = match self.fold.get_mut() {
+            Some(Some(table)) => table.apply(slot, diff),
+            // Too wide before: the diff may have narrowed it.
+            Some(None) => false,
+            None => true,
+        };
+        if !keep {
+            self.fold.take();
+        }
         Ok(())
     }
 
@@ -514,18 +671,12 @@ impl PartialEq for WeightedBloomFilter {
 impl Eq for WeightedBloomFilter {}
 
 impl ProbeTable for WeightedBloomFilter {
-    type Weights<'a> = std::iter::Copied<std::slice::Iter<'a, Weight>>;
-
     fn geometry(&self) -> (&HashFamily, usize) {
         (&self.family, self.bits.len())
     }
 
     fn occupied(&self, probes: Probes) -> bool {
         self.bits.contains_probes(probes)
-    }
-
-    fn weights_at(&self, idx: usize) -> Option<Self::Weights<'_>> {
-        self.set_at(idx).map(WeightSet::iter)
     }
 
     fn set_at(&self, idx: usize) -> Option<&WeightSet> {

@@ -42,7 +42,7 @@ pub struct WeightSet {
 
 impl WeightSet {
     /// Creates an empty set.
-    pub fn new() -> WeightSet {
+    pub const fn new() -> WeightSet {
         WeightSet { sorted: Vec::new() }
     }
 
@@ -72,6 +72,20 @@ impl WeightSet {
                 true
             }
         }
+    }
+
+    /// Inserts `weight` at index `at` of the sorted backing vector — for
+    /// callers that already located `at` with a binary search over
+    /// [`WeightSet::as_slice`] and keep data parallel to it.
+    pub(crate) fn insert_at(&mut self, at: usize, weight: Weight) {
+        debug_assert!(at == 0 || self.sorted[at - 1] < weight);
+        debug_assert!(at == self.sorted.len() || weight < self.sorted[at]);
+        self.sorted.insert(at, weight);
+    }
+
+    /// Removes the weight at index `at` of the sorted backing vector.
+    pub(crate) fn remove_at(&mut self, at: usize) {
+        self.sorted.remove(at);
     }
 
     /// Whether `weight` is present.
@@ -151,17 +165,6 @@ impl WeightSet {
         self.sorted.extend_from_slice(&other.sorted);
     }
 
-    /// Replaces this set's contents with weights yielded in strictly
-    /// ascending order, reusing the existing capacity.
-    pub(crate) fn assign_sorted<I>(&mut self, weights: I)
-    where
-        I: Iterator<Item = Weight>,
-    {
-        self.sorted.clear();
-        self.sorted.extend(weights);
-        debug_assert!(self.sorted.windows(2).all(|w| w[0] < w[1]));
-    }
-
     /// Replaces this set's contents with the weights of `universe` selected
     /// by `mask` (bit `i` selects `universe.as_slice()[i]`), reusing the
     /// existing capacity. Ascending bit order over a sorted universe keeps
@@ -193,34 +196,54 @@ impl WeightSet {
         }
     }
 
-    /// Replaces this set's contents with `a` intersected with the weights
-    /// yielded by `b` in strictly ascending order, reusing capacity.
-    pub(crate) fn assign_intersection_sorted<I>(&mut self, a: &WeightSet, b: I)
-    where
-        I: Iterator<Item = Weight>,
-    {
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&a.sorted);
-        self.intersect_with_sorted(b);
-    }
-
     /// The weights in `self` but not in `other`, as a new set — the
-    /// building block of streaming weight diffs.
+    /// building block of streaming weight diffs. One merge walk over both
+    /// sorted sets; an empty result allocates nothing.
     pub fn difference(&self, other: &WeightSet) -> WeightSet {
+        let mut rest = other.sorted.as_slice();
         WeightSet {
-            sorted: self
-                .sorted
-                .iter()
-                .copied()
-                .filter(|&w| !other.contains(w))
-                .collect(),
+            sorted: self.iter().filter(|&w| absent_from(&mut rest, w)).collect(),
         }
     }
 
-    /// Adds every weight of `other` into `self`.
+    /// Removes every weight of `other` from `self` (in-place difference),
+    /// in one merge walk.
+    pub(crate) fn remove_all(&mut self, other: &WeightSet) {
+        let mut rest = other.sorted.as_slice();
+        self.sorted.retain(|&w| absent_from(&mut rest, w));
+    }
+
+    /// Adds every weight of `other` into `self`: a merge walk counts the
+    /// weights `other` adds, then the two sorted runs merge from the back
+    /// into the grown vector, so nothing is shifted more than once. The
+    /// vector grows to exactly the new length: a filter's sets gain a
+    /// weight or two per delta, and amortized doubling would leave most of
+    /// every touched set's allocation unused.
     pub fn union_with(&mut self, other: &WeightSet) {
-        for &w in &other.sorted {
-            self.insert(w);
+        let mut rest = self.sorted.as_slice();
+        let added = other.iter().filter(|&w| absent_from(&mut rest, w)).count();
+        if added == 0 {
+            return;
+        }
+        let (mut i, mut j) = (self.sorted.len(), other.sorted.len());
+        self.sorted.reserve_exact(added);
+        self.sorted.resize(i + added, Weight::ONE);
+        let mut k = self.sorted.len();
+        // Once `other` is exhausted, `self`'s remaining prefix is already
+        // in place (`k == i`).
+        while j > 0 {
+            let b = other.sorted[j - 1];
+            k -= 1;
+            if i > 0 && self.sorted[i - 1] >= b {
+                if self.sorted[i - 1] == b {
+                    j -= 1;
+                }
+                self.sorted[k] = self.sorted[i - 1];
+                i -= 1;
+            } else {
+                self.sorted[k] = b;
+                j -= 1;
+            }
         }
     }
 
@@ -235,20 +258,35 @@ impl WeightSet {
     }
 }
 
+/// One step of a difference merge walk: advances `rest` (ascending) past
+/// every weight below `w` and reports whether `w` is absent from it. Fed
+/// ascending weights, the whole walk is linear in both lengths.
+fn absent_from(rest: &mut &[Weight], w: Weight) -> bool {
+    while let Some((&first, tail)) = rest.split_first() {
+        if first >= w {
+            return first != w;
+        }
+        *rest = tail;
+    }
+    true
+}
+
 impl FromIterator<Weight> for WeightSet {
     fn from_iter<I: IntoIterator<Item = Weight>>(iter: I) -> WeightSet {
-        let mut set = WeightSet::new();
-        for w in iter {
-            set.insert(w);
-        }
-        set
+        let mut sorted: Vec<Weight> = iter.into_iter().collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        WeightSet { sorted }
     }
 }
 
 impl Extend<Weight> for WeightSet {
     fn extend<I: IntoIterator<Item = Weight>>(&mut self, iter: I) {
-        for w in iter {
-            self.insert(w);
+        let before = self.sorted.len();
+        self.sorted.extend(iter);
+        if self.sorted.len() > before {
+            self.sorted.sort_unstable();
+            self.sorted.dedup();
         }
     }
 }
@@ -337,6 +375,13 @@ mod tests {
         assert_eq!(a.difference(&b).as_slice(), &[w(1, 4), Weight::ONE]);
         assert_eq!(b.difference(&a).len(), 0);
         assert_eq!(a.difference(&WeightSet::new()), a);
+        // The in-place form agrees, including on a disjoint tail.
+        let mut in_place = a.clone();
+        in_place.remove_all(&[w(1, 2), w(2, 3), Weight::ONE].into_iter().collect());
+        assert_eq!(in_place.as_slice(), &[w(1, 4)]);
+        let mut untouched = a.clone();
+        untouched.remove_all(&WeightSet::new());
+        assert_eq!(untouched, a);
     }
 
     #[test]
@@ -369,19 +414,11 @@ mod tests {
         assigned.assign_intersection(&a, &b);
         assert_eq!(assigned, expected);
 
-        let mut assigned_iter = WeightSet::singleton(w(9, 10));
-        assigned_iter.assign_intersection_sorted(&a, b.iter());
-        assert_eq!(assigned_iter, expected);
-
         let mut copied = WeightSet::new();
         copied.copy_from(&a);
         assert_eq!(copied, a);
         copied.clear();
         assert!(copied.is_empty());
-
-        let mut from_sorted = WeightSet::singleton(w(9, 10));
-        from_sorted.assign_sorted(a.iter());
-        assert_eq!(from_sorted, a);
     }
 
     #[test]

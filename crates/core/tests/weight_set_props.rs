@@ -11,6 +11,13 @@ fn arb_weight() -> impl Strategy<Value = Weight> {
         .prop_map(|(a, b)| Weight::new(a.min(b), a.max(b)).expect("non-zero denominator"))
 }
 
+/// Weights over a small domain, so random sets overlap (and unreduced
+/// duplicates such as 2/4 and 1/2 collide).
+fn arb_small_weight() -> impl Strategy<Value = Weight> {
+    (1u64..=8, 1u64..=8)
+        .prop_map(|(a, b)| Weight::new(a.min(b), a.max(b)).expect("non-zero denominator"))
+}
+
 proptest! {
     // ---------- empty sets ----------
 
@@ -69,6 +76,42 @@ proptest! {
         let once: WeightSet = ws.iter().copied().collect();
         prop_assert_eq!(&doubled, &once);
         prop_assert_eq!(&doubled.intersection(&once), &once);
+    }
+
+    // ---------- linear set operations against BTreeSet ----------
+
+    #[test]
+    fn set_operations_match_btreeset(
+        a in vec(arb_small_weight(), 0..24),
+        b in vec(arb_small_weight(), 0..24),
+        extra in vec(arb_small_weight(), 0..12),
+    ) {
+        use std::collections::BTreeSet;
+        let set_a: WeightSet = a.iter().copied().collect();
+        let set_b: WeightSet = b.iter().copied().collect();
+        let ref_a: BTreeSet<Weight> = a.iter().copied().collect();
+        let ref_b: BTreeSet<Weight> = b.iter().copied().collect();
+        let listed = |set: &WeightSet| set.iter().collect::<Vec<Weight>>();
+        let sorted = |set: BTreeSet<Weight>| set.into_iter().collect::<Vec<Weight>>();
+
+        prop_assert_eq!(listed(&set_a), sorted(ref_a.clone()));
+
+        let mut union = set_a.clone();
+        union.union_with(&set_b);
+        prop_assert_eq!(listed(&union), sorted(&ref_a | &ref_b));
+
+        prop_assert_eq!(listed(&set_a.difference(&set_b)), sorted(&ref_a - &ref_b));
+
+        prop_assert_eq!(listed(&set_a.intersection(&set_b)), sorted(&ref_a & &ref_b));
+        let mut intersected = set_a.clone();
+        intersected.intersect_with(&set_b);
+        prop_assert_eq!(listed(&intersected), sorted(&ref_a & &ref_b));
+
+        let mut extended = set_a.clone();
+        extended.extend(extra.iter().copied());
+        let mut ref_extended = ref_a.clone();
+        ref_extended.extend(extra.iter().copied());
+        prop_assert_eq!(listed(&extended), sorted(ref_extended));
     }
 
     // ---------- the weight-sum>1 deletion path ----------

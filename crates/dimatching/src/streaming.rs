@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use dipm_core::{encode, CountingWbf, FilterParams, Weight, WeightSet, WeightedBloomFilter};
+use dipm_core::{encode, CountingWbf, FilterParams, Weight, WeightedBloomFilter};
 use dipm_distsim::{
     block_on_all, run_station_shards, run_stations, CostMeter, ExecutionMode, LatencyModel,
     Mailbox, Network, NodeId, TrafficClass, VirtualClock, DATA_CENTER,
@@ -249,7 +249,7 @@ pub struct StreamingSession {
     needs_full: bool,
     /// Cached full-broadcast frame length (the rebuild-economics
     /// yardstick). Invalidated on query churn, so idle CDR-churn epochs
-    /// skip the snapshot-and-intern pass entirely.
+    /// skip the interning pass entirely.
     cached_full_len: Option<usize>,
     /// The standing routing tree under [`RoutingPolicy::Tree`]; built
     /// lazily on the first routed epoch (geometry pinned there, like the
@@ -525,7 +525,7 @@ impl StreamingSession {
         // The rebuild-economics yardstick: what a full broadcast would
         // weigh this epoch. Computed without serializing the frame, and
         // cached until query churn invalidates it — a pure CDR-churn epoch
-        // pays neither the snapshot nor the interning pass.
+        // skips the interning pass.
         let full_frame_len = self.full_frame_len(&totals);
 
         // Drain the pending diff exactly once per epoch. Stations on the
@@ -566,7 +566,7 @@ impl StreamingSession {
             let frame = wire::encode_station_update(&StationUpdate::Full {
                 epoch,
                 query_totals: totals.clone(),
-                filter: encode::encode_wbf(&self.center.snapshot())?,
+                filter: encode::encode_wbf(self.center.visible())?,
             })?;
             debug_assert_eq!(frame.len(), full_frame_len);
             Some(frame)
@@ -601,7 +601,7 @@ impl StreamingSession {
             Some(len) => len,
             None => {
                 let len =
-                    1 + 8 + 4 + totals.len() * 8 + encode::encoded_wbf_len(&self.center.snapshot());
+                    1 + 8 + 4 + totals.len() * 8 + encode::encoded_wbf_len(self.center.visible());
                 self.cached_full_len = Some(len);
                 len
             }
@@ -744,12 +744,7 @@ impl StreamingSession {
                 })
                 .collect(),
             counts: self.center.counts_snapshot(),
-            baselines: self
-                .center
-                .dirty_baselines()
-                .iter()
-                .map(|(&pos, set)| (pos, set.clone()))
-                .collect(),
+            baselines: self.center.dirty_baselines(),
             stations: self
                 .stations
                 .iter()
@@ -866,9 +861,8 @@ impl StreamingSession {
                 "replaying the recorded queries does not reproduce the recorded filter state",
             ));
         }
-        let baselines: BTreeMap<u32, WeightSet> = checkpoint.baselines.into_iter().collect();
         center
-            .restore_dirty(baselines)
+            .restore_dirty(checkpoint.baselines)
             .map_err(ProtocolError::Core)?;
         Ok(StreamingSession {
             config,

@@ -1410,7 +1410,8 @@ fn validate_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<()> {
 /// [`ProtocolError::FrameTooLarge`] if any count exceeds its wire prefix.
 pub fn encode_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<Bytes> {
     validate_session_checkpoint(checkpoint)?;
-    let mut buf = BytesMut::new();
+    let len = session_checkpoint_len(checkpoint);
+    let mut buf = BytesMut::with_capacity(len);
     buf.put_u32_le(CHECKPOINT_MAGIC);
     buf.put_u8(CHECKPOINT_VERSION);
     buf.put_u64_le(checkpoint.epoch);
@@ -1463,7 +1464,30 @@ pub fn encode_session_checkpoint(checkpoint: &SessionCheckpoint) -> Result<Bytes
         buf.put_u8(u8::from(state.has_filter));
         buf.put_u64_le(state.applied_epoch);
     }
+    debug_assert_eq!(buf.len(), len);
     Ok(buf.freeze())
+}
+
+/// The exact byte length [`encode_session_checkpoint`] produces, so the
+/// encoder reserves its buffer once.
+fn session_checkpoint_len(checkpoint: &SessionCheckpoint) -> usize {
+    let queries: usize = checkpoint
+        .queries
+        .iter()
+        .map(|query| 28 + query.pairs.len() * 24)
+        .sum();
+    let counts: usize = checkpoint
+        .counts
+        .iter()
+        .map(|(_, entries)| 6 + entries.len() * 20)
+        .sum();
+    let baselines: usize = checkpoint
+        .baselines
+        .iter()
+        .map(|(_, baseline)| 6 + baseline.len() * 16)
+        .sum();
+    // Header, then four counted sections behind a `u32` count each.
+    48 + 4 + queries + 4 + counts + 4 + baselines + 4 + checkpoint.stations.len() * 9
 }
 
 /// Decodes one streaming session's checkpoint, enforcing every structural
@@ -1688,7 +1712,11 @@ pub fn decode_session_checkpoint(mut data: Bytes) -> Result<SessionCheckpoint> {
 /// regress and [`ProtocolError::FrameTooLarge`] if any count exceeds its
 /// wire prefix.
 pub fn encode_service_checkpoint(tenants: &[(u64, Bytes)]) -> Result<Bytes> {
-    let mut buf = BytesMut::new();
+    let len = 9 + tenants
+        .iter()
+        .map(|(_, frame)| 12 + frame.len())
+        .sum::<usize>();
+    let mut buf = BytesMut::with_capacity(len);
     buf.put_u32_le(SERVICE_MAGIC);
     buf.put_u8(CHECKPOINT_VERSION);
     buf.put_u32_le(frame_count(tenants.len())?);
@@ -1704,6 +1732,7 @@ pub fn encode_service_checkpoint(tenants: &[(u64, Bytes)]) -> Result<Bytes> {
         buf.put_u32_le(frame_count(frame.len())?);
         buf.extend_from_slice(frame);
     }
+    debug_assert_eq!(buf.len(), len);
     Ok(buf.freeze())
 }
 
